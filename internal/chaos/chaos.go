@@ -359,8 +359,17 @@ func (c *Chaos) Send(from, to groups.Process, t net.MsgType, body any) {
 // via the link's FIFO pipe (ordered delay).
 func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder bool) {
 	if delay > 0 && reorder {
-		c.delayed.Add(1)
+		// wg.Add under mu, after the closed check: an Add racing Close's
+		// Wait is a WaitGroup misuse. A packet sent after Close is dropped,
+		// as the delay goroutine would have dropped it anyway.
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
 		c.wg.Add(1)
+		c.mu.Unlock()
+		c.delayed.Add(1)
 		go func() {
 			defer c.wg.Done()
 			t := time.NewTimer(delay)
@@ -376,7 +385,7 @@ func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder boo
 	}
 	c.mu.Lock()
 	pipe, piped := c.pipes[l]
-	if !piped && delay > 0 {
+	if !piped && delay > 0 && !c.closed {
 		// First delayed packet on this link: open its FIFO pipe. Once a
 		// pipe exists, every later packet of the link goes through it, so
 		// fresh zero-delay packets cannot overtake still-queued ones.

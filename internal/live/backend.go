@@ -245,6 +245,26 @@ func (b *Backend) Sync(p groups.Process) {
 	}
 }
 
+// wait blocks until every local paxos node's message loop and every
+// replica's apply and submit loops have exited: after it returns nothing of
+// the substrate touches a WAL. The loops exit once the transport closes.
+func (b *Backend) wait() {
+	for _, n := range b.nodes {
+		if n != nil {
+			n.Wait()
+		}
+	}
+	b.lk.Lock()
+	reps := make([]*replog.Replica, 0, len(b.reps))
+	for _, r := range b.reps {
+		reps = append(reps, r)
+	}
+	b.lk.Unlock()
+	for _, r := range reps {
+		r.Wait()
+	}
+}
+
 // liveLog adapts a replog replica to the core.LogObject surface. Mutators
 // block until the operation is decided (or the transport shuts down); reads
 // run against the local copy, which may lag the decided prefix — the node

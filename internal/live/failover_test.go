@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -132,8 +133,9 @@ func runLeaseFailover(t *testing.T, seed int64) {
 // submit loops have windows of accept rounds outstanding (burst load, no
 // pacing between multicasts) and asserts the survivors agree on every
 // realm's decided prefix: a failed windowed round can leave a hole below
-// later decided slots, and the drain-and-repair path must reconcile it
-// without forking any log. Agreement is checked twice — bit-for-bit on the
+// later decided slots, and re-firing the hole (under the old lease, or at
+// depth 1 once a NACK has dropped it) must fill it without forking any
+// log. Agreement is checked twice — bit-for-bit on the
 // paxos decision maps, and on the applied operation order of every replica
 // pair sharing a log.
 func TestLiveFailoverMidWindow(t *testing.T) {
@@ -168,7 +170,7 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	nmDone := nm.Go()
 
 	// Burst half the load immediately so the pipelines are multi-slot deep
-	// when the crash tick arrives, then the rest after it so the repaired
+	// when the crash tick arrives, then the rest after it so the refilled
 	// logs keep extending under the new leader.
 	senders := []struct {
 		p groups.Process
@@ -216,7 +218,11 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	}
 
 	// Replog-level agreement: every pair of replicas of the same log agrees
-	// on the common prefix of the applied operation order.
+	// on the common prefix of the applied operation sequence, and replicas
+	// that applied the same slots hold the same log. The datum order of a
+	// lagging replica is not a prefix of a leading one's — a later
+	// bumpAndLock moves an earlier datum past later ones — so a replica the
+	// crash froze is compared op by op, not item by item.
 	byPair := make(map[core.PairKey][]*replog.Replica)
 	sys.be.lk.Lock()
 	for key, rep := range sys.be.reps {
@@ -224,18 +230,20 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	}
 	sys.be.lk.Unlock()
 	for pair, reps := range byPair {
-		ref := reps[0].Snapshot()
+		ref := reps[0]
+		refOps := ref.Journal()
 		for _, rep := range reps[1:] {
-			got := rep.Snapshot()
-			n := len(ref)
-			if len(got) < n {
-				n = len(got)
-			}
+			ops := rep.Journal()
+			n := min(len(refOps), len(ops))
 			for i := 0; i < n; i++ {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: log %v forked at position %d: %v vs %v",
-						seed, pair, i, ref[i], got[i])
+				if ops[i] != refOps[i] {
+					t.Fatalf("seed %d: log %v forked at applied op %d: %+v vs %+v",
+						seed, pair, i, refOps[i], ops[i])
 				}
+			}
+			if rep.Slot() == ref.Slot() && !slices.Equal(rep.Snapshot(), ref.Snapshot()) {
+				t.Fatalf("seed %d: log %v differs between replicas at slot %d: %v vs %v",
+					seed, pair, ref.Slot(), ref.Snapshot(), rep.Snapshot())
 			}
 		}
 	}

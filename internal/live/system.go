@@ -419,13 +419,16 @@ func (s *System) AwaitDeliveryCtx(ctx context.Context) bool {
 // Stop freezes the trace and tears the run down: the trace freeze comes
 // first so operations completing degraded during shutdown cannot corrupt
 // the evidence; closing the transport then unblocks every node parked
-// inside a consensus operation.
+// inside a consensus operation. Stop returns only once every stepping
+// goroutine, paxos message loop and replica loop has exited, so the
+// caller may close or inspect the WALs the moment it returns.
 func (s *System) Stop() {
 	s.once.Do(func() {
 		s.Sh.Freeze()
 		close(s.stop)
 		s.Net.Close()
 		s.wg.Wait()
+		s.be.wait()
 	})
 }
 

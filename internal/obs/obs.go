@@ -384,26 +384,25 @@ func (r *Recorder) Events() []Event {
 // Counter blocks bumped by the live substrate's hot paths.
 
 // PaxosCounters count the consensus substrate's work. Rounds are the full
-// two-phase synod rounds; FastRounds are the Multi-Paxos steady-state
-// rounds (phase 1 elided under a leader lease). Probes are anti-entropy
-// broadcasts for possibly-dropped decide messages. RespDrops count
-// proposer responses lost to a full response channel; RespStale counts
-// leftovers from prior rounds drained at round start.
+// two-phase synod rounds; WindowRounds are the Multi-Paxos steady-state
+// rounds (phase 1 elided under a leader lease), Propose's leased step
+// included. Probes are anti-entropy broadcasts for possibly-dropped decide
+// messages. RespDrops count proposer responses lost to a full response
+// channel; RespStale counts leftovers from prior rounds drained at round
+// start.
 type PaxosCounters struct {
-	Proposals         atomic.Int64
-	Rounds            atomic.Int64
-	RoundFailures     atomic.Int64
-	FastRounds        atomic.Int64
-	FastRoundFailures atomic.Int64
-	WindowRounds      atomic.Int64
-	WindowFailures    atomic.Int64
-	WindowDepthPeak   atomic.Int64
-	LeasesAcquired    atomic.Int64
-	LeasesLost        atomic.Int64
-	Decisions         atomic.Int64
-	Probes            atomic.Int64
-	RespDrops         atomic.Int64
-	RespStale         atomic.Int64
+	Proposals       atomic.Int64
+	Rounds          atomic.Int64
+	RoundFailures   atomic.Int64
+	WindowRounds    atomic.Int64
+	WindowFailures  atomic.Int64
+	WindowDepthPeak atomic.Int64
+	LeasesAcquired  atomic.Int64
+	LeasesLost      atomic.Int64
+	Decisions       atomic.Int64
+	Probes          atomic.Int64
+	RespDrops       atomic.Int64
+	RespStale       atomic.Int64
 }
 
 // IncProposal counts one Propose entry (nil-safe, like every Inc method).
@@ -441,21 +440,6 @@ func (c *PaxosCounters) IncProbe() {
 	}
 }
 
-// IncFastRound counts one phase-1-elided accept round under a lease.
-func (c *PaxosCounters) IncFastRound() {
-	if c != nil {
-		c.FastRounds.Add(1)
-	}
-}
-
-// IncFastRoundFailure counts one fast round that fell back to the full
-// protocol (NACK, deadline, or concurrent decision).
-func (c *PaxosCounters) IncFastRoundFailure() {
-	if c != nil {
-		c.FastRoundFailures.Add(1)
-	}
-}
-
 // IncWindowRound counts one windowed (pipelined) accept round fired.
 func (c *PaxosCounters) IncWindowRound() {
 	if c != nil {
@@ -464,7 +448,7 @@ func (c *PaxosCounters) IncWindowRound() {
 }
 
 // IncWindowRoundFailure counts one windowed round that ended without a
-// decision (deadline or NACK) — a potential hole the caller repairs.
+// decision (deadline or NACK) — a potential hole the caller re-fires.
 func (c *PaxosCounters) IncWindowRoundFailure() {
 	if c != nil {
 		c.WindowFailures.Add(1)

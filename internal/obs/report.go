@@ -118,8 +118,12 @@ func (w *WireReport) FramesPerFlush() float64 {
 }
 
 // PaxosReport is the consensus substrate's work in a live run. Rounds are
-// full two-phase synod rounds; FastRounds the phase-1-elided accepts the
-// Multi-Paxos lease enables; the lease counters record fast-path churn
+// full two-phase synod rounds; WindowRounds the phase-1-elided accepts the
+// Multi-Paxos lease enables, counted once each whether a pipeline or
+// Propose's leased step fired them. FastRounds and FastRoundFailures are
+// always 0: they counted a second leased-round implementation that no
+// longer exists, and stay only so existing report readers keep decoding.
+// The lease counters record fast-path churn
 // (acquisitions via range prepare, invalidations on observed higher
 // ballots). RespDrops/RespStale account proposer-response losses that the
 // old implementation discarded silently.
@@ -312,22 +316,20 @@ func (r *Recorder) Report() RunReport {
 	} else {
 		out.Wall = 0
 	}
-	if v := r.paxos.Proposals.Load() + r.paxos.Rounds.Load() + r.paxos.FastRounds.Load() + r.paxos.Decisions.Load() + r.paxos.Probes.Load(); v > 0 {
+	if v := r.paxos.Proposals.Load() + r.paxos.Rounds.Load() + r.paxos.WindowRounds.Load() + r.paxos.Decisions.Load() + r.paxos.Probes.Load(); v > 0 {
 		out.Paxos = &PaxosReport{
-			Proposals:         r.paxos.Proposals.Load(),
-			Rounds:            r.paxos.Rounds.Load(),
-			RoundFailures:     r.paxos.RoundFailures.Load(),
-			FastRounds:        r.paxos.FastRounds.Load(),
-			FastRoundFailures: r.paxos.FastRoundFailures.Load(),
-			WindowRounds:      r.paxos.WindowRounds.Load(),
-			WindowFailures:    r.paxos.WindowFailures.Load(),
-			WindowDepthPeak:   r.paxos.WindowDepthPeak.Load(),
-			LeasesAcquired:    r.paxos.LeasesAcquired.Load(),
-			LeasesLost:        r.paxos.LeasesLost.Load(),
-			Decisions:         r.paxos.Decisions.Load(),
-			Probes:            r.paxos.Probes.Load(),
-			RespDrops:         r.paxos.RespDrops.Load(),
-			RespStale:         r.paxos.RespStale.Load(),
+			Proposals:       r.paxos.Proposals.Load(),
+			Rounds:          r.paxos.Rounds.Load(),
+			RoundFailures:   r.paxos.RoundFailures.Load(),
+			WindowRounds:    r.paxos.WindowRounds.Load(),
+			WindowFailures:  r.paxos.WindowFailures.Load(),
+			WindowDepthPeak: r.paxos.WindowDepthPeak.Load(),
+			LeasesAcquired:  r.paxos.LeasesAcquired.Load(),
+			LeasesLost:      r.paxos.LeasesLost.Load(),
+			Decisions:       r.paxos.Decisions.Load(),
+			Probes:          r.paxos.Probes.Load(),
+			RespDrops:       r.paxos.RespDrops.Load(),
+			RespStale:       r.paxos.RespStale.Load(),
 		}
 	}
 	if v := r.replog.Applies.Load() + r.replog.Submits.Load(); v > 0 {
@@ -487,9 +489,8 @@ func (r *RunReport) String() string {
 		}
 	}
 	if r.Paxos != nil {
-		fmt.Fprintf(&b, "\n  paxos: %d proposals, %d rounds (%d failed), %d fast rounds (%d failed), %d decisions, %d probes",
-			r.Paxos.Proposals, r.Paxos.Rounds, r.Paxos.RoundFailures,
-			r.Paxos.FastRounds, r.Paxos.FastRoundFailures, r.Paxos.Decisions, r.Paxos.Probes)
+		fmt.Fprintf(&b, "\n  paxos: %d proposals, %d rounds (%d failed), %d decisions, %d probes",
+			r.Paxos.Proposals, r.Paxos.Rounds, r.Paxos.RoundFailures, r.Paxos.Decisions, r.Paxos.Probes)
 		if r.Paxos.WindowRounds > 0 {
 			fmt.Fprintf(&b, "\n  window: %d rounds (%d failed), depth peak %d",
 				r.Paxos.WindowRounds, r.Paxos.WindowFailures, r.Paxos.WindowDepthPeak)

@@ -16,10 +16,11 @@
 // standard promise/accept rules (a range promise is just a promise for
 // every covered slot at once), so safety is exactly single-decree Paxos's.
 //
-// A leased realm additionally supports a *window* of outstanding accept
-// rounds (ProposeWindowed): the lease holder fires phase-2 rounds for
+// Every leased slot is proposed through the realm's *window* of outstanding
+// accept rounds (ProposeWindowed): the lease holder fires phase-2 rounds for
 // several consecutive slots without waiting for each to conclude, and the
-// node's message loop gathers quorums asynchronously. Decisions may land
+// node's message loop gathers quorums asynchronously. Propose's leased step
+// is one such round, awaited — a window of depth 1. Decisions may land
 // out of slot order; callers (replog) track the decided prefix and apply in
 // order. Safety is untouched — every windowed round is an ordinary phase 2
 // under a completed phase 1 — with one extra obligation enforced here: at a
@@ -298,7 +299,9 @@ type proposerLease struct {
 // result is delivered per successful ProposeWindowed call: OK with the
 // decided value (ours, an adopted one, or a concurrently learnt decision),
 // or !OK when the round ended without a decision (deadline or NACK) — the
-// slot may then be a hole the caller must repair via Propose.
+// slot may then be a hole below later decided slots. The caller re-fires
+// it: under the same lease the value pin keeps that safe, and once a NACK
+// has dropped the lease, Propose at the hole re-acquires one.
 type WindowResult struct {
 	Inst InstanceID
 	Val  Value
@@ -311,7 +314,7 @@ type winSlot struct {
 	inst   Instance
 	ballot int64
 	val    Value
-	acks   map[groups.Process]bool
+	acks   groups.ProcSet
 	need   int
 	res    chan<- WindowResult
 	timer  *time.Timer
@@ -344,10 +347,11 @@ type Node struct {
 	decided map[InstanceID]Value
 	watch   map[InstanceID][]chan Value
 
-	// opMu serialises this node's synchronous proposer rounds; dedup
-	// belongs to that round machinery and is guarded by it.
-	opMu  sync.Mutex
-	dedup map[groups.Process]bool // pooled response-dedup set, cleared per phase
+	// opMu serialises this node's synchronous proposer rounds; dedup and
+	// propRes belong to that round machinery and are guarded by it.
+	opMu    sync.Mutex
+	dedup   map[groups.Process]bool // pooled response-dedup set, cleared per phase
+	propRes chan WindowResult       // result of Propose's leased windowed round
 
 	// leaseMu guards the proposer-lease table and the refusal-ballot
 	// hints. It is separate from opMu so the message loop (which completes
@@ -439,6 +443,7 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 		watch:    make(map[InstanceID][]chan Value),
 		leases:   make(map[realmKey]*proposerLease),
 		dedup:    make(map[groups.Process]bool, 8),
+		propRes:  make(chan WindowResult, 1),
 		highest:  make(map[realmKey]int64),
 		wins:     make(map[InstanceID]*winSlot),
 		winDepth: make(map[realmKey]int),
@@ -704,12 +709,13 @@ func (n *Node) RequestDecision(scope groups.ProcSet, inst InstanceID) {
 
 // toPeers sends to every scope member except this process: the node's own
 // acceptor/learner state is updated directly, so a loopback packet would
-// only burn two trips through the transport.
+// only burn two trips through the transport. The set is walked in place
+// rather than through Members, which would allocate on every broadcast.
 func (n *Node) toPeers(scope groups.ProcSet, t net.MsgType, body any) {
-	for _, p := range scope.Members() {
-		if p != n.p {
-			n.nw.Send(n.p, p, t, body)
-		}
+	for rest := scope.Remove(n.p); !rest.Empty(); {
+		p := rest.Min()
+		rest = rest.Remove(p)
+		n.nw.Send(n.p, p, t, body)
 	}
 }
 
@@ -739,7 +745,9 @@ func (n *Node) decideBroadcast(inst *Instance, val Value) {
 // back to Propose (which acquires the lease) or waits for capacity.
 //
 // Callers must not run concurrent windowed and synchronous proposals for
-// the same realm, and must size res so it never blocks (≥ WindowLimit()+1):
+// the same realm — Propose's leased step needs a free window slot, and
+// without one it runs a full round whose new ballot revokes the window's
+// lease — and must size res so it never blocks (≥ WindowLimit()+1):
 // results are delivered by the node's message loop and its timers, and a
 // blocked delivery would stall every realm on the node.
 func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult) bool {
@@ -789,7 +797,6 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 		inst:   *inst,
 		ballot: ballot,
 		val:    val,
-		acks:   make(map[groups.Process]bool, inst.Scope.Count()),
 		need:   inst.Scope.Count()/2 + 1,
 		res:    res,
 	}
@@ -808,8 +815,8 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 			res <- WindowResult{Inst: id, OK: false}
 			return true
 		}
-		ws.acks[n.p] = true
-		if len(ws.acks) >= ws.need {
+		ws.acks = ws.acks.Add(n.p)
+		if ws.acks.Count() >= ws.need {
 			// Singleton (or trivially small) scope: decided on the spot.
 			n.winMu.Unlock()
 			n.decideBroadcast(inst, val)
@@ -848,12 +855,12 @@ func (n *Node) windowResp(from groups.Process, r AcceptResp) bool {
 		n.windowNack(r.Inst.realm(), r.Promised)
 		ws.res <- WindowResult{Inst: r.Inst, OK: false}
 	default:
-		if ws.acks[from] {
+		if ws.acks.Has(from) {
 			n.winMu.Unlock()
 			return true
 		}
-		ws.acks[from] = true
-		if len(ws.acks) < ws.need {
+		ws.acks = ws.acks.Add(from)
+		if ws.acks.Count() < ws.need {
 			n.winMu.Unlock()
 			return true
 		}
@@ -940,11 +947,19 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		default:
 		}
 		isLeader := inst.Leader(n.p) == n.p
-		// Steady state: a held lease turns the proposal into a single
-		// accept round. Any failure falls through to the full protocol.
+		// Steady state: a held lease turns the proposal into one windowed
+		// accept round. ProposeWindowed refuses without a covering lease or
+		// with the realm's window full; a refusal, or a round that ends
+		// undecided, falls through to the full protocol, which re-acquires.
 		if isLeader && inst.MultiPaxos {
-			if val, ok := n.fastRound(inst, v); ok {
-				return val, true
+			var res WindowResult
+			n.opMu.Lock()
+			if n.ProposeWindowed(inst, v, n.propRes) {
+				res = <-n.propRes
+			}
+			n.opMu.Unlock()
+			if res.OK {
+				return res.Val, true
 			}
 			select {
 			case got := <-decidedCh:
@@ -1058,72 +1073,9 @@ func (n *Node) noteRefusal(rk realmKey, promised int64) {
 	}
 }
 
-// fastRound attempts the Multi-Paxos steady-state path: one accept round at
-// the held lease ballot, no phase 1. It reports ok=false when there is no
-// covering lease or the round did not conclude — the lease is dropped on
-// any refusal (a higher ballot is loose) and the caller falls back to the
-// full protocol, which re-acquires. Safety: the lease ballot was granted by
-// a quorum for every slot ≥ fromSlot, so this is phase 2 of a completed
-// phase 1, with adoption obligations carried in lease.adopt and retried
-// slots pinned to their first value (lease.used).
-func (n *Node) fastRound(inst *Instance, v Value) (Value, bool) {
-	n.opMu.Lock()
-	defer n.opMu.Unlock()
-	if got, ok := n.Decided(inst.ID); ok {
-		return got, true
-	}
-	rk := inst.ID.realm()
-	n.leaseMu.Lock()
-	lease := n.leases[rk]
-	if lease == nil || inst.ID.Slot < lease.fromSlot {
-		n.leaseMu.Unlock()
-		return nil, false
-	}
-	ballot := lease.ballot
-	val := v
-	if av, ok := lease.adopt[inst.ID.Slot]; ok {
-		val = av.Val
-	}
-	if pv, ok := lease.used[inst.ID.Slot]; ok {
-		val = pv // same-ballot pin: a retried slot must carry its first value
-	} else {
-		lease.used[inst.ID.Slot] = val
-	}
-	n.leaseMu.Unlock()
-	n.cfg.Counters.IncFastRound()
-	req := AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val}
-	// Piggyback the previous slot's decision on the accept stream: in the
-	// steady state passive replicas learn slot s-1 from slot s's accept
-	// even when the decide broadcast for s-1 was lost.
-	if inst.ID.Slot > 0 {
-		prev := InstanceID{Space: inst.ID.Space, Realm: inst.ID.Realm, Slot: inst.ID.Slot - 1}
-		if pv, ok := n.Decided(prev); ok {
-			req.PrevDecided = true
-			req.Prev = SlotVal{Slot: prev.Slot, Val: pv}
-		}
-	}
-	ok, refused := n.acceptPhase(inst, ballot, req)
-	if !ok {
-		if refused {
-			// A higher ballot is loose in the realm: the lease is stale.
-			n.leaseMu.Lock()
-			if _, held := n.leases[rk]; held {
-				n.cfg.Counters.IncLeaseLost()
-				delete(n.leases, rk)
-			}
-			n.leaseMu.Unlock()
-		}
-		n.cfg.Counters.IncFastRoundFailure()
-		return nil, false
-	}
-	n.decideBroadcast(inst, val)
-	return val, true
-}
-
 // acceptPhase runs one accept quorum round at the given ballot (caller
 // holds opMu and has already chosen the value per the adoption rule).
-// refused reports whether failure was a NACK (vs. a deadline).
-func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, refused bool) {
+func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) bool {
 	n.drainStale()
 	need := inst.Scope.Count()/2 + 1
 	clear(n.dedup)
@@ -1131,13 +1083,13 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 	if inst.Scope.Has(n.p) {
 		r := n.handleAccept(req)
 		if r.Decided {
-			return false, false // Propose's decided check will pick it up
+			return false // Propose's decided check will pick it up
 		}
 		if !r.OK {
 			n.leaseMu.Lock()
 			n.noteRefusal(inst.ID.realm(), r.Promised)
 			n.leaseMu.Unlock()
-			return false, true
+			return false
 		}
 		n.dedup[n.p] = true
 	}
@@ -1147,7 +1099,7 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 		select {
 		case pkt, open := <-n.resp:
 			if !open {
-				return false, false
+				return false
 			}
 			r, isResp := pkt.Body.(AcceptResp)
 			if pkt.Type != wire.TPaxAcceptResp || !isResp || r.Inst != inst.ID || r.Ballot != ballot || n.dedup[pkt.From] {
@@ -1155,20 +1107,20 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 			}
 			if r.Decided {
 				n.recordDecision(r.Inst, r.DecVal)
-				return false, false
+				return false
 			}
 			if !r.OK {
 				n.leaseMu.Lock()
 				n.noteRefusal(inst.ID.realm(), r.Promised)
 				n.leaseMu.Unlock()
-				return false, true
+				return false
 			}
 			n.dedup[pkt.From] = true
 		case <-deadline:
-			return false, false
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 // round runs one full prepare/accept round and reports the value it got
@@ -1254,8 +1206,7 @@ func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
 	}
 
 	// Phase 2: accept (deduplicated like phase 1).
-	ok, _ := n.acceptPhase(inst, ballot, AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val})
-	if !ok {
+	if !n.acceptPhase(inst, ballot, AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val}) {
 		return nil, false
 	}
 	if acquire {

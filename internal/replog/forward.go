@@ -58,7 +58,10 @@ type fwdMux struct {
 	nw net.Transport
 }
 
-var fwdMuxes sync.Map // *paxos.Node -> *fwdMux
+// fwdMuxes maps each running *paxos.Node to its *fwdMux. An entry lives
+// until the node's message loop exits: the mux reaches every replica on the
+// node, so a lingering entry would keep a stopped deployment reachable.
+var fwdMuxes sync.Map
 
 // muxFor returns the forwarding mux of a node, registering the wire hook on
 // first use.
@@ -67,10 +70,22 @@ func muxFor(node *paxos.Node) *fwdMux {
 		return m.(*fwdMux)
 	}
 	m := &fwdMux{reps: make(map[uint64]*Replica)}
+	select {
+	case <-node.Done():
+		// A stopped node dispatches nothing, and its entry may already be
+		// gone: hand back a detached mux instead of registering the hook
+		// twice.
+		return m
+	default:
+	}
 	if actual, loaded := fwdMuxes.LoadOrStore(node, m); loaded {
 		return actual.(*fwdMux)
 	}
 	node.Handle(wire.TReplogFwd, m.dispatch)
+	go func() {
+		<-node.Done()
+		fwdMuxes.Delete(node)
+	}()
 	return m
 }
 

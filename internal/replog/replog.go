@@ -13,8 +13,8 @@
 // paxos.ProposeWindowed without waiting for each to decide — and the decided
 // prefix (slot) tracked here guarantees out-of-order decisions still apply in
 // order. A failed windowed round can leave a hole below decided later slots;
-// the loop then drains the window and repairs the realm synchronously from
-// the decided prefix, which cannot skip the hole.
+// the loop re-fires its lowest hole before any new slot (with an empty batch
+// if nothing is pending), so the decided prefix cannot stall on it.
 //
 // This is the substrate behind the in-memory objects the deterministic
 // engine uses; the engine's charge model (internal/uc) mirrors the costs
@@ -150,6 +150,7 @@ type Replica struct {
 
 	kick   chan struct{} // wakes the submit loop on enqueue (cap 1)
 	winRes chan paxos.WindowResult
+	loops  sync.WaitGroup // the apply and submit loops (see Wait)
 }
 
 // Observe attaches run counters to the replica. Safe to call while the
@@ -226,10 +227,23 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 		}
 	}
 	muxFor(node).add(realm, r)
-	go r.applyLoop()
-	go r.submitLoop()
+	r.loops.Add(2)
+	go func() {
+		defer r.loops.Done()
+		r.applyLoop()
+	}()
+	go func() {
+		defer r.loops.Done()
+		r.submitLoop()
+	}()
 	return r
 }
+
+// Wait blocks until the replica's apply and submit loops have exited, which
+// they do once the paxos node's message loop has. The submit loop proposes
+// — and a proposal writes the node's WAL — so a caller tearing the
+// substrate down waits here before it may assume the WAL is quiet.
+func (r *Replica) Wait() { r.loops.Wait() }
 
 // instID is the consensus-instance identity of a slot.
 func (r *Replica) instID(slot int) paxos.InstanceID {
@@ -339,16 +353,18 @@ func (r *Replica) enqueueLocked(o Op) *waiter {
 	return w
 }
 
-// submitLoop turns the pending queue into decided slots. It prefers the
-// pipelined path — fire a batch at the next free slot of the paxos window
-// and immediately gather more operations — and falls back to a synchronous
-// Propose when no lease is held (which acquires one) or at a non-leader
-// (which hedges on the leader inside Propose). A window failure switches
-// the loop into repair: drain every outstanding round, then drive the
-// decided prefix synchronously up to the highest fired slot so no hole
-// survives, then resume pipelining.
+// submitLoop turns the pending queue into decided slots. Every slot goes
+// through the paxos window: fire a batch at the lowest hole, else at the
+// next free slot, and immediately gather more operations. A round that ends
+// undecided requeues its operations and leaves its slot as a hole, re-fired
+// ahead of new slots — under the same lease the value pin keeps the re-fire
+// safe. A synchronous Propose runs only when no round is outstanding and
+// ProposeWindowed refuses (no lease, as after a NACK, or a non-leader that
+// hedges on the leader inside Propose): a window of depth 1 whose full round
+// re-acquires the lease, range adoption covering the slots above it.
 func (r *Replica) submitLoop() {
 	fired := make(map[int64]firedBatch)
+	var holes []int // slots whose round ended undecided, any order
 	next := 0
 	retry := time.NewTimer(time.Hour)
 	if !retry.Stop() {
@@ -357,7 +373,7 @@ func (r *Replica) submitLoop() {
 	defer retry.Stop()
 	var lastFwd time.Time
 	for {
-		if len(fired) == 0 {
+		if len(fired) == 0 && len(holes) == 0 {
 			next = r.Slot()
 		}
 		var ws []*waiter
@@ -378,20 +394,25 @@ func (r *Replica) submitLoop() {
 		} else {
 			ws = r.takePending(maxBatchOps)
 		}
-		if len(ws) > 0 {
-			val := EncodeBatch(opsOf(ws))
-			if r.node.ProposeWindowed(r.mkIns(next), val, r.winRes) {
-				r.counters.Load().AddBatch(len(ws))
-				fired[int64(next)] = firedBatch{val: val, ws: ws}
-				next++
-				continue
+		hole := lowest(holes)
+		if len(ws) > 0 || hole >= 0 {
+			slot := next
+			if hole >= 0 {
+				slot = holes[hole]
 			}
-			if len(fired) == 0 {
-				// No pipeline in flight and no usable lease: the classic
-				// synchronous path. On a leader this acquires the lease the
-				// next iteration pipelines under.
-				slot := r.Slot()
+			val := EncodeBatch(opsOf(ws))
+			fire := r.node.ProposeWindowed(r.mkIns(slot), val, r.winRes)
+			if fire || len(fired) == 0 {
 				r.counters.Load().AddBatch(len(ws))
+				if hole >= 0 {
+					holes = append(holes[:hole], holes[hole+1:]...)
+				} else {
+					next++
+				}
+				if fire {
+					fired[int64(slot)] = firedBatch{val: val, ws: ws}
+					continue
+				}
 				decided, ok := r.node.Propose(r.mkIns(slot), val)
 				if !ok {
 					r.shutdown()
@@ -416,43 +437,29 @@ func (r *Replica) submitLoop() {
 		}
 		select {
 		case res := <-r.winRes:
-			fb, had := fired[res.Inst.Slot]
+			fb := fired[res.Inst.Slot]
 			delete(fired, res.Inst.Slot)
-			if res.OK {
-				// Apply the decided slot inline rather than waiting for the
-				// apply loop. Slot() only advances on apply, and
-				// ProposeWindowed short-circuits already-decided slots, so a
-				// loop that merely requeued here would re-fire the same
-				// stale slot in a tight spin until the apply goroutine got
-				// scheduled — on a loaded (or single-core) machine that
-				// starves the very goroutine it is waiting on for a full
-				// timeslice per slot. applyAt is a no-op unless this slot is
-				// exactly the next unapplied one, so the call is safe out of
-				// order and doubles as catch-up when the frontier lags.
-				r.applyAt(int(res.Inst.Slot), res.Val)
-				if had && !res.Val.Equal(fb.val) {
-					// An adopted or foreign value decided this slot; our
-					// batch did not land — its unsatisfied ops go again.
-					r.requeue(fb.ws)
-				}
+			if !res.OK {
+				r.requeue(fb.ws)
+				holes = append(holes, int(res.Inst.Slot))
 				continue
 			}
-			// Pipeline break: this slot did not decide, but later fired
-			// slots may have — a hole. Drain and repair.
-			if had {
+			// Apply the decided slot inline rather than waiting for the
+			// apply loop. Slot() only advances on apply, and
+			// ProposeWindowed short-circuits already-decided slots, so a
+			// loop that merely requeued here would re-fire the same stale
+			// slot in a tight spin until the apply goroutine got scheduled
+			// — on a loaded (or single-core) machine that starves the very
+			// goroutine it is waiting on for a full timeslice per slot.
+			// applyAt is a no-op unless this slot is exactly the next
+			// unapplied one, so the call is safe out of order and doubles
+			// as catch-up when the frontier lags.
+			r.applyAt(int(res.Inst.Slot), res.Val)
+			if !res.Val.Equal(fb.val) {
+				// An adopted or foreign value decided this slot; our batch
+				// did not land — its unsatisfied ops go again.
 				r.requeue(fb.ws)
 			}
-			maxSlot := res.Inst.Slot
-			for s := range fired {
-				if s > maxSlot {
-					maxSlot = s
-				}
-			}
-			if !r.drainWindow(fired) || !r.repair(int(maxSlot)) {
-				r.shutdown()
-				return
-			}
-			clear(fired)
 		case <-r.kick:
 		case <-retry.C:
 		case <-r.node.Done():
@@ -468,46 +475,15 @@ type firedBatch struct {
 	ws  []*waiter
 }
 
-// drainWindow collects the outstanding window results after a failure
-// (every fired round delivers exactly one result — quorum, NACK, or its
-// deadline timer — so this terminates within a phase deadline).
-func (r *Replica) drainWindow(fired map[int64]firedBatch) bool {
-	for len(fired) > 0 {
-		select {
-		case res := <-r.winRes:
-			fb, had := fired[res.Inst.Slot]
-			if !had {
-				continue
-			}
-			delete(fired, res.Inst.Slot)
-			if !res.OK || !res.Val.Equal(fb.val) {
-				r.requeue(fb.ws)
-			}
-		case <-r.node.Done():
-			return false
+// lowest returns the index of the smallest slot in holes, or -1.
+func lowest(holes []int) int {
+	at := -1
+	for i, s := range holes {
+		if at < 0 || s < holes[at] {
+			at = i
 		}
 	}
-	return true
-}
-
-// repair drives the decided prefix synchronously up to and including
-// maxSlot, filling holes with whatever is pending (or an empty batch).
-// Propose returns instantly for already-decided slots, so the cost is one
-// full round per genuine hole.
-func (r *Replica) repair(maxSlot int) bool {
-	for {
-		slot := r.Slot()
-		if slot > maxSlot {
-			return true
-		}
-		ws := r.takePending(maxBatchOps)
-		decided, ok := r.node.Propose(r.mkIns(slot), EncodeBatch(opsOf(ws)))
-		if !ok {
-			return false
-		}
-		r.applyAt(slot, decided)
-		r.requeue(ws)
-	}
+	return at
 }
 
 // takePending collects up to max pending operations, marking them inflight.
@@ -642,7 +618,7 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	// Notify outside the lock: the hook may fan out to scheduler wakeups,
-	// and nothing it needs is guarded by mu. Empty slots (hole repairs)
+	// and nothing it needs is guarded by mu. Empty slots (re-fired holes)
 	// change no state, so they wake nobody.
 	if len(ops) > 0 {
 		if fn := r.onApply.Load(); fn != nil {

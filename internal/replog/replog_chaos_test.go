@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,23 +12,26 @@ import (
 	"repro/internal/logobj"
 	"repro/internal/msg"
 	"repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/paxos"
 )
 
-// chaosCluster wires n replicas of one log over the adversarial fabric.
-func chaosCluster(n int, seed int64) (*chaos.Chaos, []*Replica) {
+// chaosCluster wires n replicas of one log over the adversarial fabric;
+// every paxos node counts its work into the returned block.
+func chaosCluster(n int, seed int64) (*chaos.Chaos, []*Replica, *obs.PaxosCounters) {
 	c := chaos.Wrap(net.New(n), seed)
 	var scope groups.ProcSet
 	for p := 0; p < n; p++ {
 		scope = scope.Add(groups.Process(p))
 	}
 	leader := func(groups.Process) groups.Process { return 0 }
+	pc := new(obs.PaxosCounters)
 	reps := make([]*Replica, n)
 	for p := 0; p < n; p++ {
-		node := paxos.StartNode(c, groups.Process(p))
+		node := paxos.StartNodeWithConfig(c, groups.Process(p), paxos.Config{Counters: pc})
 		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, c, scope, leader)
 	}
-	return c, reps
+	return c, reps, pc
 }
 
 // localOrders converts replica snapshots into the per-process delivery
@@ -58,7 +62,7 @@ func assertPairwiseOrder(t *testing.T, reps []*Replica) {
 // under drops, duplication, delay and reorder still funnel into one
 // operation order — agreement comes from consensus, not from the fabric.
 func TestChaosConcurrentAppendsAgree(t *testing.T) {
-	c, reps := chaosCluster(3, 5)
+	c, reps, _ := chaosCluster(3, 5)
 	defer c.Close()
 	c.SetFaults(chaos.Faults{
 		Drop: 0.08, Dup: 0.08, DelayMax: 150 * time.Microsecond, Reorder: true,
@@ -105,7 +109,7 @@ func TestChaosConcurrentAppendsAgree(t *testing.T) {
 // (its log remains a prefix of the cluster's), and after heal it both
 // completes its pending append and catches up on everything it missed.
 func TestChaosPartitionedReplicaBlocksThenCatchesUp(t *testing.T) {
-	c, reps := chaosCluster(5, 6)
+	c, reps, _ := chaosCluster(5, 6)
 	defer c.Close()
 
 	if _, ok := reps[0].Append(logobj.MsgDatum(1)); !ok {
@@ -160,5 +164,60 @@ func TestChaosPartitionedReplicaBlocksThenCatchesUp(t *testing.T) {
 	assertPairwiseOrder(t, reps)
 	if reps[2].Pos(logobj.MsgDatum(99)) == 0 {
 		t.Fatalf("healed replica lost its own append")
+	}
+}
+
+// TestIsolatedLeaderHolesRefill drives the hole path on purpose: the leader
+// holds the lease, then is cut off from every peer for several phase
+// deadlines while every replica bursts appends. The leader's windowed
+// rounds time out and leave holes, while followers whose forwarding
+// patience ran out propose under higher ballots. After the heal the leader
+// must fill its holes — re-fired under its lease, or, once NACKed, at depth
+// 1 with a re-acquired lease — so every append completes and every replica
+// applies the same log.
+func TestIsolatedLeaderHolesRefill(t *testing.T) {
+	const n, perReplica = 3, 6
+	c, reps, pc := chaosCluster(n, 7)
+	defer c.Close()
+	if _, ok := reps[0].Append(logobj.MsgDatum(1)); !ok {
+		t.Fatalf("lease-acquiring append failed")
+	}
+
+	c.Isolate(0)
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		p := p
+		for i := 0; i < perReplica; i++ {
+			d := logobj.MsgDatum(msg.ID(100*(p+1) + i))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, ok := reps[p].Append(d); !ok {
+					t.Errorf("replica %d: append %v failed", p, d)
+				}
+			}()
+		}
+	}
+	time.Sleep(4 * paxos.DefaultConfig().PhaseDeadline)
+	c.Heal()
+	wg.Wait()
+
+	total := 1 + n*perReplica
+	for p, r := range reps {
+		if !r.SyncWait(total, 5*time.Second) {
+			t.Fatalf("replica %d applied %d of %d ops", p, r.Applied(), total)
+		}
+	}
+	want := reps[0].Snapshot()
+	if len(want) != total {
+		t.Fatalf("log holds %d items, want %d", len(want), total)
+	}
+	for p, r := range reps[1:] {
+		if got := r.Snapshot(); !slices.Equal(got, want) {
+			t.Fatalf("replica %d log %v differs from leader's %v", p+1, got, want)
+		}
+	}
+	if pc.WindowFailures.Load() == 0 {
+		t.Fatalf("no windowed round failed: the isolation never opened a hole")
 	}
 }

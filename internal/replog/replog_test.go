@@ -75,8 +75,8 @@ func TestDecodeBatchRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestEmptyBatchIsNoop: the repair path seals holes with empty batches;
-// they must round-trip and decode to zero ops.
+// TestEmptyBatchIsNoop: the submit loop re-fires a hole with an empty batch
+// when nothing is pending; it must round-trip and decode to zero ops.
 func TestEmptyBatchIsNoop(t *testing.T) {
 	ops, err := DecodeBatch(EncodeBatch(nil))
 	if err != nil || len(ops) != 0 {
@@ -274,5 +274,31 @@ func TestIdempotentHelp(t *testing.T) {
 	reps[2].SyncWait(1, time.Second)
 	if got := len(reps[2].Snapshot()); got != 1 {
 		t.Fatalf("helping duplicated the datum: %d items", got)
+	}
+}
+
+// TestForwardMuxReleasedOnClose: the forwarding table drops a node's entry
+// once the node's message loop exits, so a torn-down deployment does not
+// stay reachable through the mux's replica table.
+func TestForwardMuxReleasedOnClose(t *testing.T) {
+	nw, reps := cluster(3)
+	for p, r := range reps {
+		if _, ok := fwdMuxes.Load(r.node); !ok {
+			t.Fatalf("replica %d: node has no forwarding mux", p)
+		}
+	}
+	nw.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for p, r := range reps {
+		r.node.Wait()
+		for {
+			if _, ok := fwdMuxes.Load(r.node); !ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d: forwarding mux still registered after the node stopped", p)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -32,8 +32,8 @@ func decOp(d *wire.Dec) Op {
 }
 
 // EncodeBatch packs a batch of operations into one consensus value. An
-// empty batch is valid — it is the no-op slot the repair path uses to seal
-// a hole without inventing work.
+// empty batch is valid — it is the no-op slot the submit loop re-fires a
+// hole with when nothing is pending, sealing it without inventing work.
 func EncodeBatch(ops []Op) paxos.Value {
 	var e wire.Enc
 	e.U64(uint64(len(ops)))
