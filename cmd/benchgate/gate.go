@@ -60,40 +60,24 @@ func microGate(w io.Writer, oldPath, newPath string, alpha, ratioMax float64) (f
 	return failed, nil
 }
 
-// liveRowKey identifies a live row across documents. ConflictRate joined
-// the key in schema v4: the commuting-mix rows (rate < 1) share a topology
-// with the all-conflict rows (rate 1) and must not alias them. FsyncMode
-// joined in v5 for the same reason: the durability rows (file, file-nosync)
-// re-run a topology the mem rows already measure. Scenario and WorkloadSeed
-// joined in v7: loadsim campaign rows are keyed by the scenario they ran
-// and the seed that replays it (benchtab sweep rows carry the zero values).
+// liveRowKey identifies a live row across documents: the scenario it ran,
+// the seed that replays its stream, and the transport it ran over. Every
+// other identity column (topology, conflict rate, chaos seed, WAL backing)
+// is a property of the scenario.
 type liveRowKey struct {
 	Scenario     string
 	WorkloadSeed int64
-	Processes    int
-	Groups       int
 	Transport    string
-	ChaosSeed    int64
-	ConflictRate float64
-	FsyncMode    string
 }
 
 func keyOf(r benchfmt.LiveRow) liveRowKey {
-	return liveRowKey{
-		Scenario:     r.Scenario,
-		WorkloadSeed: r.WorkloadSeed,
-		Processes:    r.Processes,
-		Groups:       r.Groups,
-		Transport:    r.Transport,
-		ChaosSeed:    r.ChaosSeed,
-		ConflictRate: r.ConflictRate,
-		FsyncMode:    r.FsyncMode,
-	}
+	return liveRowKey{Scenario: r.Scenario, WorkloadSeed: r.WorkloadSeed, Transport: r.Transport}
 }
 
 // loadLive reads a BENCH document and refuses any schema version this
 // binary does not speak — a v6 baseline against a v7 candidate (or the
-// reverse) must fail loudly here, not surface as mass row mismatches.
+// reverse) must fail loudly here, not surface as mass row mismatches — and
+// any row without a scenario name, which no key could match.
 func loadLive(path string) (*benchfmt.LiveDoc, error) {
 	d, err := benchfmt.Load(path)
 	if err != nil {
@@ -105,16 +89,22 @@ func loadLive(path string) (*benchfmt.LiveDoc, error) {
 	if len(d.Runs) == 0 {
 		return nil, fmt.Errorf("%s: no runs", path)
 	}
+	for i, r := range d.Runs {
+		if r.Scenario == "" {
+			return nil, fmt.Errorf("%s: row %d has no scenario, so it cannot be keyed", path, i)
+		}
+	}
 	return &d, nil
 }
 
-// liveGate compares a fresh benchtab live document against a baseline.
-// Only chaos-free rows gate; packets/delivery is the protocol-cost check
-// and deliveries/sec the catastrophic-throughput floor. Durability rows
-// (fsync_mode != "mem") keep the packets gate — storage does not change the
-// wire protocol — but use fileDlvFloor for throughput: fsync latency is a
-// property of the runner's disk, and a shared-CI runner's can be an order
-// of magnitude worse than the baseline machine's.
+// liveGate compares a fresh loadsim document against a baseline. Only
+// chaos-free rows gate; packets/delivery is the protocol-cost check and
+// deliveries/sec the catastrophic-throughput floor. p99 latency is printed
+// next to them but never gates: on a shared runner it is noise-bound.
+// Durability rows (fsync_mode != "mem") keep the packets gate — storage
+// does not change the wire protocol — but use fileDlvFloor for throughput:
+// fsync latency is a property of the runner's disk, and a shared-CI
+// runner's can be an order of magnitude worse than the baseline machine's.
 func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlvFloor float64) (failed bool, err error) {
 	if oldPath == "" || newPath == "" {
 		return false, fmt.Errorf("live: -old and -new are required")
@@ -131,22 +121,13 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 	for _, r := range old.Runs {
 		base[keyOf(r)] = r
 	}
-	fmt.Fprintf(w, "%-28s %22s %18s  %s\n", "row", "pkts/dlv old->new", "dlv/sec old->new", "verdict")
+	fmt.Fprintf(w, "%-32s %22s %18s %18s  %s\n", "row", "pkts/dlv old->new", "dlv/sec old->new", "p99 ms old->new", "verdict")
 	matched := 0
 	for _, r := range cur.Runs {
 		b, ok := base[keyOf(r)]
-		label := fmt.Sprintf("n=%d k=%d %s seed=%d", r.Processes, r.Groups, r.Transport, r.ChaosSeed)
-		if r.Scenario != "" {
-			label = fmt.Sprintf("%s n=%d k=%d %s", r.Scenario, r.Processes, r.Groups, r.Transport)
-		}
-		if r.ConflictRate != 1 {
-			label = fmt.Sprintf("%s cfl=%.2f", label, r.ConflictRate)
-		}
-		if r.FsyncMode != "" && r.FsyncMode != "mem" {
-			label = fmt.Sprintf("%s %s", label, r.FsyncMode)
-		}
+		label := fmt.Sprintf("%s seed=%d %s", r.Scenario, r.WorkloadSeed, r.Transport)
 		if !ok {
-			fmt.Fprintf(w, "%-28s %22s %18s  new row (no baseline)\n", label, "-", "-")
+			fmt.Fprintf(w, "%-32s %22s %18s %18s  new row (no baseline)\n", label, "-", "-", "-")
 			continue
 		}
 		matched++
@@ -177,9 +158,9 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 				failed = true
 			}
 		}
-		fmt.Fprintf(w, "%-28s %10.1f -> %8.1f %8.0f -> %6.0f  %s\n",
+		fmt.Fprintf(w, "%-32s %10.1f -> %8.1f %8.0f -> %6.0f %8.2f -> %6.2f  %s\n",
 			label, b.PacketsPerDelivery, r.PacketsPerDelivery,
-			b.DeliveriesPerSec, r.DeliveriesPerSec, verdict)
+			b.DeliveriesPerSec, r.DeliveriesPerSec, b.P99Ms, r.P99Ms, verdict)
 	}
 	if matched == 0 {
 		return false, fmt.Errorf("no candidate row matches any baseline row")

@@ -147,11 +147,15 @@ func TestMicroGateMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
+// liveBase is a two-row sweep document: a chaos-free row and its
+// chaos-seeded twin, keyed by scenario like every loadsim row.
 const liveBase = `{"version": 7, "runs": [
-  {"processes": 3, "groups": 2, "transport": "mem", "chaos_seed": 0,
-   "deliveries_per_sec": 8000, "packets_per_delivery": 10.5},
-  {"processes": 3, "groups": 2, "transport": "mem", "chaos_seed": 42,
-   "deliveries_per_sec": 900, "packets_per_delivery": 30.0}
+  {"scenario": "chain-n3", "workload_seed": 1, "processes": 3, "groups": 1,
+   "transport": "mem", "chaos_seed": 0, "conflict_rate": 1, "fsync_mode": "mem",
+   "deliveries_per_sec": 8000, "packets_per_delivery": 10.5, "p99_ms": 4.0},
+  {"scenario": "chain-n3-chaos3", "workload_seed": 1, "processes": 3, "groups": 1,
+   "transport": "mem", "chaos_seed": 3, "conflict_rate": 1, "fsync_mode": "mem",
+   "deliveries_per_sec": 900, "packets_per_delivery": 30.0, "p99_ms": 150.0}
 ]}`
 
 func TestLiveGatePasses(t *testing.T) {
@@ -217,7 +221,8 @@ func TestLiveGateSoftensFileRows(t *testing.T) {
 	// passes a file-WAL durability row (floor 0.10): fsync speed is the
 	// runner's disk, not the code under test.
 	const fileBase = `{"version": 7, "runs": [
-	  {"processes": 3, "groups": 1, "transport": "mem", "chaos_seed": 0, "fsync_mode": "file",
+	  {"scenario": "chain-n3-file", "workload_seed": 1, "processes": 3, "groups": 1,
+	   "transport": "mem", "chaos_seed": 0, "conflict_rate": 1, "fsync_mode": "file",
 	   "deliveries_per_sec": 1000, "packets_per_delivery": 12.0}
 	]}`
 	cand := strings.ReplaceAll(fileBase, "1000", "150")
@@ -342,5 +347,52 @@ func TestLiveGateCatchesDigestDrift(t *testing.T) {
 	}
 	if failed {
 		t.Fatalf("scaled run's digest difference failed the gate:\n%s", out.String())
+	}
+}
+
+func TestLiveGateRejectsUnkeyedRows(t *testing.T) {
+	// A row without a scenario name cannot be keyed: an input error on
+	// either side, not a silent "new row".
+	unkeyed := strings.Replace(liveBase, `"scenario": "chain-n3", `, ``, 1)
+	var out bytes.Buffer
+	if _, err := liveGate(&out,
+		writeTemp(t, "old.json", unkeyed),
+		writeTemp(t, "new.json", liveBase), 1.25, 0.25, 0.10); err == nil || !strings.Contains(err.Error(), "no scenario") {
+		t.Fatalf("unkeyed baseline row not rejected: %v", err)
+	}
+	if _, err := liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", unkeyed), 1.25, 0.25, 0.10); err == nil {
+		t.Fatalf("unkeyed candidate row not rejected")
+	}
+}
+
+func TestLiveGateKeysOnTransport(t *testing.T) {
+	// The same scenario over tcp is a different row: its baseline is not
+	// the mem row's, and a tcp-only candidate matches nothing.
+	tcp := strings.ReplaceAll(liveBase, `"transport": "mem"`, `"transport": "tcp"`)
+	var out bytes.Buffer
+	if _, err := liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", tcp), 1.25, 0.25, 0.10); err == nil {
+		t.Fatalf("tcp candidate matched mem baseline rows:\n%s", out.String())
+	}
+}
+
+func TestLiveGateReportsP99(t *testing.T) {
+	// p99 is reported old->new but never gates: a 10x tail swing passes.
+	cand := strings.Replace(liveBase, `"p99_ms": 4.0`, `"p99_ms": 40.0`, 1)
+	var out bytes.Buffer
+	failed, err := liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", cand), 1.25, 0.25, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed {
+		t.Fatalf("p99 swing gated:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "4.00 ->  40.00") {
+		t.Fatalf("p99 column missing:\n%s", out.String())
 	}
 }

@@ -4,11 +4,20 @@
 //	figure1  — the running example's intersection graphs and cyclic families
 //	table1   — the weakest-failure-detector landscape, with the measured
 //	           outcome of each row's scenario
-//	table2   — the base invariants (Claims 2-15), checked on a random run
 //	figure3  — Algorithm 3's γ emulation on the Figure 1 topology
 //	figure45 — Algorithm 5's traversal and decision gadget
 //
-// Run with no argument to print everything.
+// and the performance-shaped claims the paper motivates genuineness with
+// (perf.go), in simulated currency — per-process protocol steps, shared-
+// object messages, virtual-time latency:
+//
+//	scaling  — genuine vs. broadcast-based multicast over k disjoint groups
+//	convoy   — the §6.2 convoy effect on a ring of groups
+//	delay    — detector stabilisation delay vs. delivery latency
+//
+// Run with no argument to print everything; every artifact is
+// deterministic. Wall-clock measurements of the live substrate are
+// cmd/loadsim's job.
 package main
 
 import (
@@ -24,36 +33,52 @@ import (
 	"repro/internal/groups"
 )
 
+// artifacts lists every printable artifact in no-argument print order.
+var artifacts = []struct {
+	name  string
+	print func()
+}{
+	{"figure1", figure1},
+	{"table1", table1},
+	{"figure3", figure3},
+	{"figure45", figure45},
+	{"scaling", scaling},
+	{"convoy", convoy},
+	{"delay", delaySweep},
+}
+
 func main() {
 	which := ""
 	if len(os.Args) > 1 {
 		which = os.Args[1]
 	}
-	all := which == ""
-	if all || which == "figure1" {
-		figure1()
+	var names []string
+	for _, a := range artifacts {
+		if which == "" || which == a.name {
+			a.print()
+			if which != "" {
+				return
+			}
+		}
+		names = append(names, a.name)
 	}
-	if all || which == "table1" {
-		table1()
-	}
-	if all || which == "figure3" {
-		figure3()
-	}
-	if all || which == "figure45" {
-		figure45()
+	if which != "" {
+		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (want one of %s)\n", which, strings.Join(names, ", "))
+		os.Exit(2)
 	}
 }
 
-func header(s string) {
+// header prints a section title between rules of the given width.
+func header(width int, s string) {
 	fmt.Println()
-	fmt.Println(strings.Repeat("=", 72))
+	fmt.Println(strings.Repeat("=", width))
 	fmt.Println(s)
-	fmt.Println(strings.Repeat("=", 72))
+	fmt.Println(strings.Repeat("=", width))
 }
 
 // figure1 recomputes every fact the paper states about Figure 1.
 func figure1() {
-	header("Figure 1 — groups g1..g4 and the cyclic families")
+	header(72, "Figure 1 — groups g1..g4 and the cyclic families")
 	topo := groups.Figure1()
 	fmt.Println("groups:")
 	for g := 0; g < topo.NumGroups(); g++ {
@@ -78,7 +103,7 @@ func figure1() {
 
 // table1 replays each row's scenario and reports the measured outcome.
 func table1() {
-	header("Table 1 — the weakest failure detector for atomic multicast")
+	header(72, "Table 1 — the weakest failure detector for atomic multicast")
 	fmt.Printf("%-34s %-26s %s\n", "row", "detector", "measured")
 
 	// Non-genuine / global: Ω ∧ Σ (atomic broadcast baseline).
@@ -137,7 +162,7 @@ func table1() {
 
 // figure3 runs the γ emulation (Theorem 50 / Figure 3).
 func figure3() {
-	header("Figure 3 — Algorithm 3: emulating γ from a solution A")
+	header(72, "Figure 3 — Algorithm 3: emulating γ from a solution A")
 	topo := groups.Figure1()
 	pat := failure.NewPattern(5).WithCrash(1, 10)
 	em := extract.NewGammaEmulation(topo, pat, core.Options{FD: fd.Options{Delay: 6}}, 6, nil)
@@ -152,7 +177,7 @@ func figure3() {
 // figure45 runs the Ω extraction's traversal (Figure 4) and gadget search
 // (Figure 5).
 func figure45() {
-	header("Figures 4 & 5 — Algorithm 5: the simulation forest of Appendix B")
+	header(72, "Figures 4 & 5 — Algorithm 5: the simulation forest of Appendix B")
 	topo := groups.MustNew(4, groups.NewProcSet(0, 1, 2), groups.NewProcSet(1, 2, 3))
 	for _, pat := range []*failure.Pattern{
 		failure.NewPattern(4),

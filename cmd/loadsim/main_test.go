@@ -159,3 +159,63 @@ func TestCampaignWritesGateableDoc(t *testing.T) {
 		t.Fatalf("document rows: %+v", doc.Runs)
 	}
 }
+
+// burst is a 16-arrival burst on the smallest chain, the shape of the
+// committed topology sweep's rows.
+func burst(name string) workload.Scenario {
+	return workload.Scenario{
+		Name:     name,
+		Topo:     workload.TopoSpec{Kind: workload.TopoChain, Groups: 1},
+		Arrivals: workload.ArrivalsFixed,
+		Rate:     1e6, Count: 16,
+		ConflictRate: 1,
+	}
+}
+
+// TestRunScenarioFileWAL runs a durability row: real file logs written
+// without fsync, replayed after the run. The row must carry the WAL
+// footprint and a measured recovery, and the temp dir must be gone.
+func TestRunScenarioFileWAL(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	sc := burst("durable")
+	sc.WAL = workload.WALFileNoSync
+	row, err := runScenario(sc, 1, "mem", 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.FsyncMode != workload.WALFileNoSync {
+		t.Fatalf("fsync_mode %q, want %q", row.FsyncMode, workload.WALFileNoSync)
+	}
+	if row.RecoveryMs <= 0 || row.WALBytesPerOp <= 0 {
+		t.Fatalf("durability columns not measured: recovery_ms=%v wal_bytes_per_op=%v",
+			row.RecoveryMs, row.WALBytesPerOp)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("WAL temp dir left behind: %v", left)
+	}
+}
+
+// TestRunScenarioChaos runs a chaos row: the nemesis must actually inject
+// faults into the burst's traffic, and the run must still deliver fully.
+func TestRunScenarioChaos(t *testing.T) {
+	sc := burst("chaotic")
+	sc.ChaosSeed = 3
+	row, err := runScenario(sc, 1, "mem", 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.ChaosSeed != 3 || row.ChaosInjections == 0 {
+		t.Fatalf("chaos row: seed %d, %d injections", row.ChaosSeed, row.ChaosInjections)
+	}
+	if row.FsyncMode != workload.WALMem {
+		t.Fatalf("fsync_mode %q, want mem", row.FsyncMode)
+	}
+	if row.Deliveries < row.Multicasts || row.Multicasts != int64(sc.Count) {
+		t.Fatalf("incomplete delivery: %d multicasts, %d deliveries", row.Multicasts, row.Deliveries)
+	}
+}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
 	"repro/internal/benchfmt"
+	"repro/internal/chaos"
+	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/groups"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/replog"
+	"repro/internal/storage"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -27,12 +31,31 @@ type delivery struct {
 	at time.Time
 }
 
+// chaosFaults is the mild fault mix of a chaos_seed scenario: enough drops,
+// duplicates and delays to exercise retransmission without starving the
+// run.
+var chaosFaults = chaos.Faults{
+	Drop:     0.005,
+	Dup:      0.01,
+	DelayMax: 300 * time.Microsecond,
+}
+
+// chaosWindow bounds how long the faults stay on into the drain. A burst is
+// submitted in microseconds, before most of its protocol packets are sent,
+// so lifting the faults as soon as the last arrival is submitted would
+// leave nothing to inject into; lifting them after the window keeps
+// completion a property of the protocol, not of the schedule being kind.
+const chaosWindow = 2 * time.Second
+
 // runScenario drives one scenario's full stream against a fresh live
 // system and reduces the run to its SLO row. The returned row carries the
 // open-loop latency columns (measured from intended send times), the
 // offered rate, and the stream digest; an error means the scenario did not
 // complete (delivery timeout) or, for soak scenarios, the applied-op
-// journal diverged from the decision snapshots.
+// journal diverged from the decision snapshots. A non-zero sc.ChaosSeed
+// runs the transport behind the nemesis; a file sc.WAL writes real logs
+// under a fresh temp dir, replays them after the run (the recovery_ms
+// column) and removes the dir.
 func runScenario(sc workload.Scenario, seed int64, transport string, timeout time.Duration) (benchfmt.LiveRow, error) {
 	gen, err := workload.NewGen(sc, seed)
 	if err != nil {
@@ -57,6 +80,12 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	default:
 		return benchfmt.LiveRow{}, fmt.Errorf("unknown transport %q (want mem or tcp)", transport)
 	}
+	var c *chaos.Chaos
+	if sc.ChaosSeed != 0 {
+		c = chaos.Wrap(nw, sc.ChaosSeed)
+		c.SetFaults(chaosFaults)
+		nw = c
+	}
 	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters, WallClock: true})
 	opt := core.Options{Rec: rec}
 	if gen.Generic() {
@@ -80,7 +109,25 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 		replog.SetJournal(true)
 		defer replog.SetJournal(false)
 	}
-	sys := live.NewSystem(topo, failure.NewPattern(n), nw, live.Config{Opt: opt})
+	cfg := live.Config{Opt: opt}
+	walMode := sc.WAL
+	if walMode == "" {
+		walMode = workload.WALMem
+	}
+	var walDir string
+	var wals []storage.WAL
+	if walMode != workload.WALMem {
+		walDir, err = os.MkdirTemp("", "loadsim-wal-")
+		if err != nil {
+			return benchfmt.LiveRow{}, err
+		}
+		defer os.RemoveAll(walDir)
+		if wals, err = openWALs(walDir, walMode, n, rec.WAL()); err != nil {
+			return benchfmt.LiveRow{}, err
+		}
+		cfg.Storage = func(p groups.Process) storage.WAL { return wals[p] }
+	}
+	sys := live.NewSystem(topo, failure.NewPattern(n), nw, cfg)
 	sys.Start()
 
 	// The open-loop clock: each arrival is submitted no earlier than its
@@ -103,8 +150,17 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 		intended[m.ID] = a.At
 		lastAt = a.At
 	}
+	if c != nil {
+		sys.AwaitDelivery(min(chaosWindow, timeout))
+		c.SetFaults(chaos.Faults{})
+	}
 	ok := sys.AwaitDelivery(timeout)
 	sys.Stop()
+	if wals != nil {
+		if err := replayWALs(walDir, wals, rec.WAL()); err != nil {
+			return benchfmt.LiveRow{}, err
+		}
+	}
 	rep := sys.Report()
 	if !ok {
 		return benchfmt.LiveRow{}, fmt.Errorf("delivery incomplete after %v (%d multicasts, %d deliveries)",
@@ -145,10 +201,64 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	row.WorkloadSeed = seed
 	row.StreamDigest = digest
 	row.Transport = transport
+	row.ChaosSeed = sc.ChaosSeed
 	row.ConflictRate = sc.ConflictRate
-	row.FsyncMode = "mem"
+	row.FsyncMode = walMode
 	if lastAt > 0 {
 		row.OfferedPerSec = float64(sc.Count) / lastAt.Seconds()
 	}
 	return row, nil
+}
+
+// openWALs opens one file WAL per process under dir, with the fsync
+// barrier on for workload.WALFile and off for workload.WALFileNoSync.
+func openWALs(dir, mode string, n int, c *obs.WALCounters) ([]storage.WAL, error) {
+	fsync := "sync"
+	if mode == workload.WALFileNoSync {
+		fsync = "none"
+	}
+	wals := make([]storage.WAL, 0, n)
+	for p := 0; p < n; p++ {
+		w, err := cliconf.OpenWAL(dir, fsync, groups.Process(p), c)
+		if err != nil {
+			closeWALs(wals)
+			return nil, fmt.Errorf("wal open p%d: %w", p, err)
+		}
+		wals = append(wals, w)
+	}
+	return wals, nil
+}
+
+// replayWALs closes the run's logs, then reopens and replays every one as a
+// restarting process would. The replay feeds the recorder's recovery
+// counters, which the row reads back as its recovery_ms column.
+func replayWALs(dir string, wals []storage.WAL, c *obs.WALCounters) error {
+	if err := closeWALs(wals); err != nil {
+		return err
+	}
+	for p := range wals {
+		w, err := cliconf.OpenWAL(dir, "sync", groups.Process(p), c)
+		if err != nil {
+			return fmt.Errorf("wal reopen p%d: %w", p, err)
+		}
+		err = w.Replay(func(storage.Record) error { return nil })
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("wal replay p%d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// closeWALs closes every log, returning the first error.
+func closeWALs(wals []storage.WAL) error {
+	var first error
+	for p, w := range wals {
+		if err := w.Close(); err != nil && first == nil {
+			first = fmt.Errorf("wal close p%d: %w", p, err)
+		}
+	}
+	return first
 }

@@ -1,9 +1,8 @@
 // Package benchfmt is the versioned on-disk schema of the live benchmark
-// documents (BENCH_live.json, BENCH_scenarios.json). It exists so the three
-// consumers — cmd/benchtab (writes topology-sweep rows), cmd/loadsim (writes
-// per-scenario SLO rows) and cmd/benchgate (gates fresh rows against
-// committed baselines) — share one row shape instead of three drifting
-// copies. Bump SchemaVersion when a column changes meaning; readers refuse
+// documents (BENCH_live.json, BENCH_scenarios.json). It exists so the
+// writer, cmd/loadsim (one SLO row per scenario), and the reader,
+// cmd/benchgate (gates fresh rows against committed baselines), share one
+// row shape instead of two drifting copies. Bump SchemaVersion when a column changes meaning; readers refuse
 // cross-version comparisons outright, because silently diffing mismatched
 // shapes produces plausible-looking nonsense.
 package benchfmt
@@ -35,12 +34,10 @@ import (
 // so they would silently alias every scenario onto one key.
 const SchemaVersion = 7
 
-// LiveRow is one measured configuration — a row of a BENCH document.
-// benchtab's topology sweep leaves the scenario columns zero; loadsim's
-// campaign rows carry them.
+// LiveRow is one measured scenario run — a row of a BENCH document.
 type LiveRow struct {
-	// Scenario names the workload scenario the row measured ("" for the
-	// benchtab topology sweep). benchgate keys rows on it.
+	// Scenario names the workload scenario the row measured. benchgate keys
+	// rows on it.
 	Scenario string `json:"scenario,omitempty"`
 	// WorkloadSeed is the generator seed; (Scenario, WorkloadSeed) replays
 	// the exact stream this row measured.
@@ -65,8 +62,8 @@ type LiveRow struct {
 	Multicasts int64  `json:"multicasts"`
 	Deliveries int64  `json:"deliveries"`
 
-	// OfferedPerSec is the open-loop offered load (0 for burst rows).
-	// Goodput vs offered is DeliveriesPerSec/Groups-adjusted against it.
+	// OfferedPerSec is the open-loop offered load: arrivals over the last
+	// intended send time. Goodput (MsgsPerSec) below it is backlog.
 	OfferedPerSec float64 `json:"offered_per_sec,omitempty"`
 
 	P50Ms float64 `json:"p50_ms"`
@@ -122,17 +119,15 @@ type LiveRow struct {
 type LiveDoc struct {
 	Version   int       `json:"version"`
 	Generated string    `json:"generated"`
-	Short     bool      `json:"short"`
 	Runs      []LiveRow `json:"runs"`
 }
 
 // NewDoc returns an empty document at the current schema version, stamped
 // now.
-func NewDoc(short bool) LiveDoc {
+func NewDoc() LiveDoc {
 	return LiveDoc{
 		Version:   SchemaVersion,
 		Generated: time.Now().UTC().Format(time.RFC3339),
-		Short:     short,
 	}
 }
 

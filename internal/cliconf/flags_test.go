@@ -20,13 +20,14 @@ func bind(tool cliconf.Tool) (*flag.FlagSet, *cliconf.Common) {
 func has(fs *flag.FlagSet, name string) bool { return fs.Lookup(name) != nil }
 
 // TestLoadsimFlagSurface pins which shared flags the loadsim tool consumes:
-// the campaign flags plus the shared seed/timeout/transport/json/baseline,
-// and none of the daemon or topology-spec flags.
+// the campaign flags plus the shared seed/timeout/transport/json, and none
+// of the daemon or topology-spec flags. -baseline is gone: comparing two
+// BENCH documents is benchgate's job.
 func TestLoadsimFlagSurface(t *testing.T) {
 	fs, _ := bind(cliconf.ToolLoadsim)
 	for _, name := range []string{
 		"scenarios", "scenario-file", "load-scale",
-		"transport", "json", "baseline", "seed", "timeout",
+		"transport", "json", "seed", "timeout",
 	} {
 		if !has(fs, name) {
 			t.Errorf("loadsim is missing shared flag -%s", name)
@@ -34,7 +35,7 @@ func TestLoadsimFlagSurface(t *testing.T) {
 	}
 	for _, name := range []string{
 		"groups", "msgs", "crash", "variant", "delay",
-		"id", "peers", "linger", "data-dir", "fsync", "report",
+		"id", "peers", "linger", "data-dir", "fsync", "report", "baseline",
 	} {
 		if has(fs, name) {
 			t.Errorf("loadsim declares -%s, which it does not consume", name)
@@ -52,7 +53,6 @@ func TestLoadsimFlagParsing(t *testing.T) {
 		"-load-scale", "0.25",
 		"-transport", "tcp",
 		"-json", "out.json",
-		"-baseline", "base.json",
 		"-seed", "42",
 		"-timeout", "90s",
 	})
@@ -61,7 +61,7 @@ func TestLoadsimFlagParsing(t *testing.T) {
 	}
 	if c.Scenarios != "steady,hot-group" || c.ScenarioFile != "campaign.json" ||
 		c.LoadScale != 0.25 || c.Transport != "tcp" || c.JSON != "out.json" ||
-		c.Baseline != "base.json" || c.Seed != 42 || c.Timeout != 90*time.Second {
+		c.Seed != 42 || c.Timeout != 90*time.Second {
 		t.Fatalf("parsed values did not land: %+v", c)
 	}
 }
@@ -79,29 +79,12 @@ func TestLoadsimFlagDefaults(t *testing.T) {
 	}
 }
 
-// TestBenchtabSharesBenchFlags checks the bench flags moved into the table
-// are declared for benchtab too (one declaration site, two consumers) while
-// the campaign-only flags stay off its surface.
-func TestBenchtabSharesBenchFlags(t *testing.T) {
-	fs, _ := bind(cliconf.ToolBenchtab)
-	for _, name := range []string{"transport", "json", "baseline", "data-dir", "fsync"} {
-		if !has(fs, name) {
-			t.Errorf("benchtab is missing shared flag -%s", name)
-		}
-	}
-	for _, name := range []string{"scenarios", "scenario-file", "load-scale", "seed"} {
-		if has(fs, name) {
-			t.Errorf("benchtab declares -%s, which it does not consume", name)
-		}
-	}
-}
-
 // TestToolMasksDisjoint checks tools don't accidentally share an identity
 // bit — the table dispatches on mask intersection.
 func TestToolMasksDisjoint(t *testing.T) {
 	tools := []cliconf.Tool{
-		cliconf.ToolAmcast, cliconf.ToolAmcastd, cliconf.ToolBenchtab,
-		cliconf.ToolNemesis, cliconf.ToolLoadsim,
+		cliconf.ToolAmcast, cliconf.ToolAmcastd, cliconf.ToolNemesis,
+		cliconf.ToolLoadsim,
 	}
 	for i, a := range tools {
 		for _, b := range tools[i+1:] {

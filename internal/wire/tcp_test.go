@@ -161,7 +161,9 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 // TestTCPCoalescedFlushCounters streams a burst through one peer link and
 // checks the write loop accounts its flushes: every delivered frame is part
 // of exactly one flush, so FlushedFrames covers the traffic and Flushes
-// never exceeds it.
+// never exceeds it. The write loop counts a flush only after conn.Write
+// returns, so the receiver can drain the whole burst first: poll the
+// counters until they catch up before asserting.
 func TestTCPCoalescedFlushCounters(t *testing.T) {
 	f, err := wire.NewFabric(2)
 	if err != nil {
@@ -176,6 +178,10 @@ func TestTCPCoalescedFlushCounters(t *testing.T) {
 		recvPacket(t, f.Inbox(1))
 	}
 	rep := f.WireReport()
+	for deadline := time.Now().Add(5 * time.Second); rep.FlushedFrames < burst && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		rep = f.WireReport()
+	}
 	if rep.Flushes == 0 || rep.FlushedFrames < burst {
 		t.Fatalf("flush counters missed the burst: %+v", rep)
 	}

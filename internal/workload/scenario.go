@@ -59,7 +59,23 @@ type Scenario struct {
 	// snapshots on exit (the ROADMAP item-3 flake hunt, run on every
 	// campaign).
 	Soak bool `json:"soak,omitempty"`
+	// ChaosSeed, when non-zero, runs the scenario behind a seeded nemesis
+	// with a mild fault mix (drops, duplicates, delays) that is lifted
+	// before the drain. Like WAL it shapes the run, not the stream: neither
+	// field enters Digest.
+	ChaosSeed int64 `json:"chaos_seed,omitempty"`
+	// WAL selects the write-ahead-log backing: WALMem (the default when
+	// empty), WALFile (fsync on every commit barrier) or WALFileNoSync (OS
+	// buffering only). File rows also measure a full post-run replay.
+	WAL string `json:"wal,omitempty"`
 }
+
+// Write-ahead-log backings a scenario may select.
+const (
+	WALMem        = "mem"
+	WALFile       = "file"
+	WALFileNoSync = "file-nosync"
+)
 
 // Validate checks the scenario for internal consistency. It does not build
 // the topology; TopoSpec.Build reports those errors.
@@ -96,6 +112,12 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.ConflictKeys < 0 {
 		return fmt.Errorf("workload: scenario %q: conflict_keys %d must be >= 0", sc.Name, sc.ConflictKeys)
+	}
+	switch sc.WAL {
+	case "", WALMem, WALFile, WALFileNoSync:
+	default:
+		return fmt.Errorf("workload: scenario %q: unknown wal %q (want %s, %s or %s)",
+			sc.Name, sc.WAL, WALMem, WALFile, WALFileNoSync)
 	}
 	return nil
 }

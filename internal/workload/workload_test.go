@@ -326,10 +326,19 @@ func TestWideTopologyMixesOverlap(t *testing.T) {
 	}
 }
 
-// TestScenarioJSONRoundTrip pins serializability: the catalog survives a
+// TestScenarioJSONRoundTrip pins serializability: the catalog, plus a
+// scenario using the run-shaping chaos_seed and wal fields, survives a
 // marshal/unmarshal cycle unchanged, and Read validates what it parses.
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	cat := Catalog()
+	cat := append(Catalog(), Scenario{
+		Name:     "durable-chaos",
+		Topo:     TopoSpec{Kind: TopoChain, Groups: 1},
+		Arrivals: ArrivalsFixed,
+		Rate:     1e6, Count: 16,
+		ConflictRate: 1,
+		ChaosSeed:    3,
+		WAL:          WALFileNoSync,
+	})
 	blob, err := json.Marshal(cat)
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +355,90 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader([]byte(`[{"nmae":"typo"}]`))); err == nil {
 		t.Fatal("unknown field passed Read")
+	}
+}
+
+// TestValidateRejectsUnknownWAL checks the wal field only takes the three
+// backings loadsim knows how to open.
+func TestValidateRejectsUnknownWAL(t *testing.T) {
+	sc := Catalog()[0]
+	for _, wal := range []string{"", WALMem, WALFile, WALFileNoSync} {
+		sc.WAL = wal
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("wal %q rejected: %v", wal, err)
+		}
+	}
+	sc.WAL = "disk"
+	if err := sc.Validate(); err == nil {
+		t.Fatal("unknown wal \"disk\" passed Validate")
+	}
+}
+
+// TestSweepFileLoads reads the committed topology sweep: every row is a
+// valid scenario with a unique name, and the chaos, commuting-mix and
+// file-WAL rows are all present.
+func TestSweepFileLoads(t *testing.T) {
+	scs, err := ReadFile("../../benchmarks/sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool, len(scs))
+	var chaos, mix, file, nosync int
+	for _, sc := range scs {
+		if names[sc.Name] {
+			t.Fatalf("duplicate sweep scenario %q", sc.Name)
+		}
+		names[sc.Name] = true
+		if _, err := sc.Topo.Build(); err != nil {
+			t.Fatalf("scenario %s: %v", sc.Name, err)
+		}
+		if sc.ChaosSeed != 0 {
+			chaos++
+		}
+		if sc.ConflictRate < 1 {
+			mix++
+		}
+		switch sc.WAL {
+		case WALFile:
+			file++
+		case WALFileNoSync:
+			nosync++
+		}
+	}
+	if chaos == 0 || mix == 0 || file != 1 || nosync != 1 {
+		t.Fatalf("sweep rows: %d chaos, %d commuting-mix, %d file, %d file-nosync", chaos, mix, file, nosync)
+	}
+}
+
+// TestCatalogDigestsPinned pins the stream digest of every catalog scenario
+// at seed 1. A moved digest means the generator or a catalog entry changed,
+// which silently invalidates every committed baseline keyed on it. The
+// run-shaping chaos_seed and wal fields must leave the digest alone.
+func TestCatalogDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"steady":    "f828567cd3cd157d",
+		"hot-group": "4583e0df4a80663f",
+		"convoy":    "29eefd1da2dfa9fe",
+		"ramp":      "fa3e65803ebfefc1",
+		"wide":      "a772f62e7727ddda",
+		"soak":      "c5c03f38a1b3f932",
+	}
+	cat := Catalog()
+	if len(cat) != len(want) {
+		t.Fatalf("catalog has %d scenarios, %d pinned", len(cat), len(want))
+	}
+	for _, sc := range cat {
+		got, err := Digest(sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[sc.Name] {
+			t.Errorf("scenario %s: digest %s, pinned %s", sc.Name, got, want[sc.Name])
+		}
+		sc.ChaosSeed, sc.WAL = 3, WALFile
+		if got, err := Digest(sc, 1); err != nil || got != want[sc.Name] {
+			t.Errorf("scenario %s: chaos_seed/wal moved the digest to %s (%v)", sc.Name, got, err)
+		}
 	}
 }
 
